@@ -19,11 +19,19 @@
 //! The context is `Sync`: parallel sweeps (`find_improving_swap_par`,
 //! `best_responses_par`) share one `&EvalContext` across rayon workers,
 //! each worker drawing from its own thread-local pools. Parallel variants
-//! return **byte-identical** results to their sequential counterparts —
-//! the winner is selected by lowest edge index, matching the sequential
-//! scan order — so callers can switch freely between them (property tests
-//! in `tests/evalcontext_props.rs` pin this down).
+//! return **byte-identical** results to their sequential counterparts, so
+//! callers can switch freely between them (property tests in
+//! `tests/evalcontext_props.rs` pin this down):
+//!
+//! * `find_improving_swap_par` selects the lowest-indexed edge hit,
+//!   matching the sequential scan order;
+//! * `best_responses_par` is **edge-major**: one masked APSP per edge
+//!   scores both endpoints (`G − vw` does not depend on which end deletes
+//!   the edge), so a full sweep builds `m` masked matrices, not `2m`. Each
+//!   agent then reduces its arc slots in CSR neighbor order under the
+//!   sequential tie-break. Games plug in through a `SwapScorer`.
 
+use std::marker::PhantomData;
 use std::sync::OnceLock;
 
 use bncg_graph::adjacency::SwapApplied;
@@ -344,14 +352,19 @@ impl EvalContext {
     /// already playing a best response. Equivalent to (and replacing) the
     /// old per-call path that rebuilt the CSR and allocated scratch.
     pub fn best_response<O: Objective>(&self, v: V) -> Option<ScoredSwap> {
-        let old = self.agent_cost::<O>(v);
+        self.best_response_with(&ObjectiveScorer::<O>(PhantomData), v)
+    }
+
+    /// [`best_response`](Self::best_response) under any [`SwapScorer`]:
+    /// one scan per incident edge in CSR neighbor order, the strictly
+    /// cheapest scan winner kept.
+    pub(crate) fn best_response_with<S: SwapScorer>(&self, scorer: &S, v: V) -> Option<ScoredSwap> {
+        let old = scorer.old_cost(self, v)?;
         let mut best: Option<ScoredSwap> = None;
         for &w in self.csr.neighbors(v) {
             let scan = self.scan(v, w);
-            if let Some(s) = scan.best_improving::<O>(v, old) {
-                if best.as_ref().is_none_or(|b| s.new_cost < b.new_cost) {
-                    best = Some(s);
-                }
+            if let Some(s) = scorer.score(self, &scan, v, old) {
+                ScoredSwap::keep_cheaper(&mut best, s);
             }
             scan.recycle();
         }
@@ -378,9 +391,68 @@ impl EvalContext {
     /// greedy-global dynamics schedule and the round engine's frozen
     /// snapshot proposals consume this.
     pub fn best_responses_par<O: Objective>(&self) -> Vec<Option<ScoredSwap>> {
-        (0..self.n() as V)
+        self.best_responses_par_with(&ObjectiveScorer::<O>(PhantomData))
+    }
+
+    /// The **edge-major** best-response sweep under any [`SwapScorer`],
+    /// byte-identical to mapping [`best_response_with`](Self::best_response_with)
+    /// over `0..n`.
+    ///
+    /// `G − vw` is the same graph whichever endpoint deletes `vw`, so the
+    /// sweep fans out over edges, not agents: each edge task builds one
+    /// masked APSP ([`scan`](Self::scan)) and scores both endpoints from
+    /// it, halving the masked builds of an agent-major sweep. Results land
+    /// in one slot per CSR arc; each agent then reduces its own arc slots
+    /// in neighbor order with the sequential tie-break
+    /// ([`ScoredSwap::keep_cheaper`]). Standing costs are read once per
+    /// agent up front, from the maintained aggregates.
+    pub(crate) fn best_responses_par_with<S: SwapScorer>(
+        &self,
+        scorer: &S,
+    ) -> Vec<Option<ScoredSwap>> {
+        let n = self.n();
+        if self.m() == 0 {
+            return vec![None; n];
+        }
+        self.base(); // standing costs below read the maintained aggregates
+        let old: Vec<Option<u64>> = (0..n as V).map(|v| scorer.old_cost(self, v)).collect();
+        let csr = &self.csr;
+        let arc_slot = |a: V, b: V| {
+            let pos = csr.neighbors(a).iter().position(|&x| x == b);
+            csr.arc_range(a).start + pos.expect("edge endpoints are adjacent")
+        };
+        let per_edge: Vec<[(usize, Option<ScoredSwap>); 2]> = csr
+            .edge_vec()
             .into_par_iter()
-            .map(|v| self.best_response::<O>(v))
+            .map(|(u, w)| {
+                let (old_u, old_w) = (old[u as usize], old[w as usize]);
+                let scan = (old_u.is_some() || old_w.is_some()).then(|| self.scan(u, w));
+                let side = |agent: V, old: Option<u64>| {
+                    old.zip(scan.as_ref())
+                        .and_then(|(old, scan)| scorer.score(self, scan, agent, old))
+                };
+                let out = [
+                    (arc_slot(u, w), side(u, old_u)),
+                    (arc_slot(w, u), side(w, old_w)),
+                ];
+                if let Some(scan) = scan {
+                    scan.recycle();
+                }
+                out
+            })
+            .collect();
+        let mut by_arc: Vec<Option<ScoredSwap>> = vec![None; 2 * self.m()];
+        for (slot, s) in per_edge.into_iter().flatten() {
+            by_arc[slot] = s;
+        }
+        (0..n as V)
+            .map(|v| {
+                let mut best = None;
+                for s in by_arc[csr.arc_range(v)].iter().flatten() {
+                    ScoredSwap::keep_cheaper(&mut best, *s);
+                }
+                best
+            })
             .collect()
     }
 
@@ -508,6 +580,48 @@ impl EvalContext {
         }
         scan.recycle();
         found
+    }
+}
+
+/// How a best-response sweep prices one agent against one
+/// [`EdgeSwapScan`]. Both sweeps —
+/// [`EvalContext::best_response_with`] and the edge-major
+/// [`EvalContext::best_responses_par_with`] — drive a scorer, so a game
+/// states its per-candidate rule once and the tie-break across edges lives
+/// in those two sweeps alone.
+pub(crate) trait SwapScorer: Sync {
+    /// Standing cost of agent `v`, or `None` when `v` can never improve
+    /// (its scans are then skipped).
+    fn old_cost(&self, ctx: &EvalContext, v: V) -> Option<u64>;
+
+    /// Best strictly improving swap of `agent` (an endpoint of
+    /// `scan.edge`) against its standing cost `old`: minimum new cost,
+    /// ties to the smallest `w2`.
+    fn score(
+        &self,
+        ctx: &EvalContext,
+        scan: &EdgeSwapScan,
+        agent: V,
+        old: u64,
+    ) -> Option<ScoredSwap>;
+}
+
+/// The basic game's scorer: objective `O` over every candidate.
+struct ObjectiveScorer<O>(PhantomData<fn() -> O>);
+
+impl<O: Objective> SwapScorer for ObjectiveScorer<O> {
+    fn old_cost(&self, ctx: &EvalContext, v: V) -> Option<u64> {
+        Some(ctx.agent_cost::<O>(v))
+    }
+
+    fn score(
+        &self,
+        _ctx: &EvalContext,
+        scan: &EdgeSwapScan,
+        agent: V,
+        old: u64,
+    ) -> Option<ScoredSwap> {
+        scan.best_improving::<O>(agent, old)
     }
 }
 

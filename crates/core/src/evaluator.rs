@@ -130,7 +130,10 @@ impl EdgeSwapScan {
             .collect::<Vec<Option<ScoredSwap>>>()
             .into_iter()
             .flatten()
-            .reduce(|a, b| if b.new_cost < a.new_cost { b } else { a })
+            .fold(None, |mut best, s| {
+                ScoredSwap::keep_cheaper(&mut best, s);
+                best
+            })
     }
 
     /// Sequential candidate scan over `lo..hi` (one shard of
@@ -143,32 +146,74 @@ impl EdgeSwapScan {
         lo: V,
         hi: V,
     ) -> Option<ScoredSwap> {
-        let mut best: Option<ScoredSwap> = None;
         let mut scored = 0u64;
         let mut improving = 0u64;
-        for w2 in lo..hi {
-            if w2 == agent || w2 == other {
-                continue; // w2 == other re-creates the original graph
-            }
+        let best = self.best_in(agent, other, old_cost, lo..hi, |w2| {
             let new_cost = self.swap_cost::<O>(agent, w2);
             scored += 1;
-            if new_cost < old_cost {
-                improving += 1;
-                if best.as_ref().is_none_or(|b| new_cost < b.new_cost) {
-                    best = Some(ScoredSwap {
-                        mv: SwapMove {
-                            v: agent,
-                            w: other,
-                            w2,
-                        },
-                        old_cost,
-                        new_cost,
-                    });
-                }
-            }
-        }
+            improving += u64::from(new_cost < old_cost);
+            Some(new_cost)
+        });
         telemetry::counter!("swap_scan.candidates").add(scored);
         telemetry::counter!("swap_scan.improving").add(improving);
+        best
+    }
+
+    /// Best strictly improving swap for `agent` under a caller-supplied
+    /// pricing: `cost(w2)` is the agent's cost after swapping onto `w2`,
+    /// or `None` when the game forbids that target. Ties go to the
+    /// smallest `w2`, as in [`best_improving`](Self::best_improving).
+    /// Rule sets that filter or re-price candidates score through this.
+    pub(crate) fn best_improving_by(
+        &self,
+        agent: V,
+        old_cost: u64,
+        cost: impl FnMut(V) -> Option<u64>,
+    ) -> Option<ScoredSwap> {
+        let other = self.other_endpoint(agent);
+        self.best_in(agent, other, old_cost, 0..self.masked.n() as V, cost)
+    }
+
+    /// The first `w2` (ascending) whose `cost(w2)` beats `old_cost`, or
+    /// `None`: the first-improving counterpart of
+    /// [`best_improving_by`](Self::best_improving_by).
+    pub(crate) fn first_improving_by(
+        &self,
+        agent: V,
+        old_cost: u64,
+        mut cost: impl FnMut(V) -> Option<u64>,
+    ) -> Option<ScoredSwap> {
+        let other = self.other_endpoint(agent);
+        (0..self.masked.n() as V)
+            .filter(|&w2| w2 != agent && w2 != other)
+            .find_map(|w2| {
+                cost(w2)
+                    .filter(|&c| c < old_cost)
+                    .map(|new_cost| scored(agent, other, w2, old_cost, new_cost))
+            })
+    }
+
+    /// The candidate loop shared by every best-improving scan: skips the
+    /// agent and the deleted edge's other end (`w2 == other` re-creates
+    /// the original graph) and keeps the cheapest strict improvement.
+    #[inline]
+    fn best_in(
+        &self,
+        agent: V,
+        other: V,
+        old_cost: u64,
+        candidates: std::ops::Range<V>,
+        mut cost: impl FnMut(V) -> Option<u64>,
+    ) -> Option<ScoredSwap> {
+        let mut best: Option<ScoredSwap> = None;
+        for w2 in candidates {
+            if w2 == agent || w2 == other {
+                continue;
+            }
+            if let Some(new_cost) = cost(w2).filter(|&c| c < old_cost) {
+                ScoredSwap::keep_cheaper(&mut best, scored(agent, other, w2, old_cost, new_cost));
+            }
+        }
         best
     }
 
@@ -186,26 +231,25 @@ impl EdgeSwapScan {
     /// All strictly improving swaps for `agent` (used by exhaustive audits).
     pub fn all_improving<O: Objective>(&self, agent: V, old_cost: u64) -> Vec<ScoredSwap> {
         let other = self.other_endpoint(agent);
-        let n = self.masked.n() as V;
-        let mut out = Vec::new();
-        for w2 in 0..n {
-            if w2 == agent || w2 == other {
-                continue;
-            }
-            let new_cost = self.swap_cost::<O>(agent, w2);
-            if new_cost < old_cost {
-                out.push(ScoredSwap {
-                    mv: SwapMove {
-                        v: agent,
-                        w: other,
-                        w2,
-                    },
-                    old_cost,
-                    new_cost,
-                });
-            }
-        }
-        out
+        (0..self.masked.n() as V)
+            .filter(|&w2| w2 != agent && w2 != other)
+            .map(|w2| scored(agent, other, w2, old_cost, self.swap_cost::<O>(agent, w2)))
+            .filter(ScoredSwap::is_improving)
+            .collect()
+    }
+}
+
+/// `agent` swaps its edge to `other` onto `w2`, priced `old → new`.
+#[inline]
+fn scored(agent: V, other: V, w2: V, old_cost: u64, new_cost: u64) -> ScoredSwap {
+    ScoredSwap {
+        mv: SwapMove {
+            v: agent,
+            w: other,
+            w2,
+        },
+        old_cost,
+        new_cost,
     }
 }
 

@@ -38,7 +38,8 @@ use std::sync::Arc;
 use bncg_graph::{kernels, Csr, Graph, V};
 use rayon::prelude::*;
 
-use crate::context::EvalContext;
+use crate::context::{EvalContext, SwapScorer};
+use crate::evaluator::EdgeSwapScan;
 use crate::kswap::single_swap_moves;
 use crate::objective::{MaxObjective, Objective, SumObjective, INFINITE_COST};
 use crate::swap::{ScoredSwap, SwapMove};
@@ -88,9 +89,12 @@ pub trait GameRules: Clone + Send + Sync + 'static {
     fn first_improving_response(&self, ctx: &EvalContext, v: V) -> Option<ScoredSwap>;
 
     /// Best responses of all agents against one frozen snapshot, one slot
-    /// per agent. The default fans the sequential method over rayon;
-    /// basic-game impls override with the pre-trait parallel sweep (same
-    /// answer, shared telemetry shape).
+    /// per agent. The default fans the sequential method over agents on
+    /// rayon. The APSP games (basic, bounded-budget, interest) override it
+    /// with the edge-major sweep of [`EvalContext::best_responses_par`]:
+    /// one masked APSP per edge scores both endpoints, so each edge's
+    /// `G − vw` is built once per sweep instead of once per endpoint. The
+    /// answer is the same either way.
     fn best_responses_par(&self, ctx: &EvalContext) -> Vec<Option<ScoredSwap>> {
         (0..ctx.n() as V)
             .into_par_iter()
@@ -251,6 +255,29 @@ impl<O: Objective> BoundedBudgetGame<O> {
         }
         (csr.neighbors(w2).len() as u32) < self.budgets[w2 as usize]
     }
+
+    /// `agent`'s cost after swapping `scan`'s edge onto `w2`, or `None`
+    /// when the target has no budget left.
+    fn price(&self, ctx: &EvalContext, scan: &EdgeSwapScan, agent: V, w2: V) -> Option<u64> {
+        self.target_ok(ctx.csr(), agent, w2)
+            .then(|| scan.swap_cost::<O>(agent, w2))
+    }
+}
+
+impl<O: Objective> SwapScorer for BoundedBudgetGame<O> {
+    fn old_cost(&self, ctx: &EvalContext, v: V) -> Option<u64> {
+        Some(ctx.agent_cost::<O>(v))
+    }
+
+    fn score(
+        &self,
+        ctx: &EvalContext,
+        scan: &EdgeSwapScan,
+        agent: V,
+        old: u64,
+    ) -> Option<ScoredSwap> {
+        scan.best_improving_by(agent, old, |w2| self.price(ctx, scan, agent, w2))
+    }
 }
 
 impl<O: Objective> GameRules for BoundedBudgetGame<O> {
@@ -266,57 +293,16 @@ impl<O: Objective> GameRules for BoundedBudgetGame<O> {
     }
 
     fn best_response(&self, ctx: &EvalContext, v: V) -> Option<ScoredSwap> {
-        let old = self.agent_cost(ctx, v);
-        let csr = ctx.csr();
-        let n = ctx.n() as V;
-        let mut best: Option<ScoredSwap> = None;
-        for &w in csr.neighbors(v) {
-            let scan = ctx.scan(v, w);
-            for w2 in 0..n {
-                if w2 == v || w2 == w || !self.target_ok(csr, v, w2) {
-                    continue;
-                }
-                let new_cost = scan.swap_cost::<O>(v, w2);
-                if new_cost < old && best.as_ref().is_none_or(|b| new_cost < b.new_cost) {
-                    best = Some(ScoredSwap {
-                        mv: SwapMove { v, w, w2 },
-                        old_cost: old,
-                        new_cost,
-                    });
-                }
-            }
-            scan.recycle();
-        }
-        best
+        ctx.best_response_with(self, v)
     }
 
     fn first_improving_response(&self, ctx: &EvalContext, v: V) -> Option<ScoredSwap> {
-        let old = self.agent_cost(ctx, v);
-        let csr = ctx.csr();
-        let n = ctx.n() as V;
-        for &w in csr.neighbors(v) {
-            let scan = ctx.scan(v, w);
-            let mut found: Option<ScoredSwap> = None;
-            for w2 in 0..n {
-                if w2 == v || w2 == w || !self.target_ok(csr, v, w2) {
-                    continue;
-                }
-                let new_cost = scan.swap_cost::<O>(v, w2);
-                if new_cost < old {
-                    found = Some(ScoredSwap {
-                        mv: SwapMove { v, w, w2 },
-                        old_cost: old,
-                        new_cost,
-                    });
-                    break;
-                }
-            }
-            scan.recycle();
-            if found.is_some() {
-                return found;
-            }
-        }
-        None
+        let old = self.old_cost(ctx, v)?;
+        first_improving_over_edges(ctx, v, old, |scan, w2| self.price(ctx, scan, v, w2))
+    }
+
+    fn best_responses_par(&self, ctx: &EvalContext) -> Vec<Option<ScoredSwap>> {
+        ctx.best_responses_par_with(self)
     }
 
     fn social_cost(&self, ctx: &EvalContext) -> Option<u64> {
@@ -402,6 +388,13 @@ impl InterestGame {
     pub fn interests(&self, v: V) -> &[V] {
         &self.interests[v as usize]
     }
+
+    /// `agent`'s interest cost after swapping `scan`'s edge onto `w2`: the
+    /// insertion blend of the two masked rows over `I(agent)` only.
+    fn price(&self, scan: &EdgeSwapScan, agent: V, w2: V) -> u64 {
+        let masked = scan.masked();
+        kernels::masked_blend_cost_sum(masked.row(agent), masked.row(w2), self.interests(agent))
+    }
 }
 
 impl GameRules for InterestGame {
@@ -414,68 +407,53 @@ impl GameRules for InterestGame {
     }
 
     fn best_response(&self, ctx: &EvalContext, v: V) -> Option<ScoredSwap> {
-        let old = self.agent_cost(ctx, v);
-        let iv = self.interests(v);
-        if iv.is_empty() {
-            return None;
-        }
-        let csr = ctx.csr();
-        let n = ctx.n() as V;
-        let mut best: Option<ScoredSwap> = None;
-        for &w in csr.neighbors(v) {
-            let scan = ctx.scan(v, w);
-            let row_v = scan.masked().row(v);
-            for w2 in 0..n {
-                if w2 == v || w2 == w {
-                    continue;
-                }
-                let new_cost = kernels::masked_blend_cost_sum(row_v, scan.masked().row(w2), iv);
-                if new_cost < old && best.as_ref().is_none_or(|b| new_cost < b.new_cost) {
-                    best = Some(ScoredSwap {
-                        mv: SwapMove { v, w, w2 },
-                        old_cost: old,
-                        new_cost,
-                    });
-                }
-            }
-            scan.recycle();
-        }
-        best
+        ctx.best_response_with(self, v)
     }
 
     fn first_improving_response(&self, ctx: &EvalContext, v: V) -> Option<ScoredSwap> {
-        let old = self.agent_cost(ctx, v);
-        let iv = self.interests(v);
-        if iv.is_empty() {
-            return None;
-        }
-        let csr = ctx.csr();
-        let n = ctx.n() as V;
-        for &w in csr.neighbors(v) {
-            let scan = ctx.scan(v, w);
-            let row_v = scan.masked().row(v);
-            let mut found: Option<ScoredSwap> = None;
-            for w2 in 0..n {
-                if w2 == v || w2 == w {
-                    continue;
-                }
-                let new_cost = kernels::masked_blend_cost_sum(row_v, scan.masked().row(w2), iv);
-                if new_cost < old {
-                    found = Some(ScoredSwap {
-                        mv: SwapMove { v, w, w2 },
-                        old_cost: old,
-                        new_cost,
-                    });
-                    break;
-                }
-            }
-            scan.recycle();
-            if found.is_some() {
-                return found;
-            }
-        }
-        None
+        let old = self.old_cost(ctx, v)?;
+        first_improving_over_edges(ctx, v, old, |scan, w2| Some(self.price(scan, v, w2)))
     }
+
+    fn best_responses_par(&self, ctx: &EvalContext) -> Vec<Option<ScoredSwap>> {
+        ctx.best_responses_par_with(self)
+    }
+}
+
+impl SwapScorer for InterestGame {
+    fn old_cost(&self, ctx: &EvalContext, v: V) -> Option<u64> {
+        (!self.interests(v).is_empty()).then(|| self.agent_cost(ctx, v))
+    }
+
+    fn score(
+        &self,
+        _ctx: &EvalContext,
+        scan: &EdgeSwapScan,
+        agent: V,
+        old: u64,
+    ) -> Option<ScoredSwap> {
+        scan.best_improving_by(agent, old, |w2| Some(self.price(scan, agent, w2)))
+    }
+}
+
+/// The first legal improving swap of agent `v` (standing cost `old`) in
+/// scan order — incident edges in CSR order, then ascending `w2` — under
+/// the per-candidate pricing `price(scan, w2)` (`None` = illegal target).
+fn first_improving_over_edges(
+    ctx: &EvalContext,
+    v: V,
+    old: u64,
+    price: impl Fn(&EdgeSwapScan, V) -> Option<u64>,
+) -> Option<ScoredSwap> {
+    for &w in ctx.csr().neighbors(v) {
+        let scan = ctx.scan(v, w);
+        let found = scan.first_improving_by(v, old, |w2| price(&scan, w2));
+        scan.recycle();
+        if found.is_some() {
+            return found;
+        }
+    }
+    None
 }
 
 // ---------------------------------------------------------------------------

@@ -70,6 +70,16 @@ impl ScoredSwap {
     pub fn is_improving(&self) -> bool {
         self.new_cost < self.old_cost
     }
+
+    /// Stores `cand` in `best` when it is strictly cheaper than the
+    /// current holder. This is the one tie-break of every response scan:
+    /// fed candidates in scan order, the earliest of the cheapest wins.
+    #[inline]
+    pub(crate) fn keep_cheaper(best: &mut Option<ScoredSwap>, cand: ScoredSwap) {
+        if best.as_ref().is_none_or(|b| cand.new_cost < b.new_cost) {
+            *best = Some(cand);
+        }
+    }
 }
 
 /// Enumerates the agent-edge pairs of `g`: every ordered pair `(v, w)` with

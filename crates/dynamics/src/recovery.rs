@@ -348,10 +348,9 @@ impl JournalRecord {
         let rest = line
             .strip_prefix("{\"crc\":\"")
             .ok_or("missing crc header")?;
-        if rest.len() < 8 {
-            return Err("crc header cut short".into());
-        }
-        let (hex, rest) = rest.split_at(8);
+        // `get` also refuses a multibyte character straddling byte 8.
+        let hex = rest.get(..8).ok_or("crc header cut short or not hex")?;
+        let rest = &rest[8..];
         let body = rest
             .strip_prefix("\",\"rec\":")
             .ok_or("malformed record envelope")?
@@ -820,7 +819,11 @@ pub(crate) fn replay<R: GameRules>(
                         reason: "round record with no moves".into(),
                     });
                 }
-                let batch: Vec<SwapApplied> = moves.iter().map(|mv| mv.apply(&mut g)).collect();
+                let mut batch = Vec::with_capacity(moves.len());
+                for mv in moves {
+                    check_move(&g, mv, idx + 1)?;
+                    batch.push(mv.apply(&mut g));
+                }
                 moves_replayed += batch.len();
                 if crate::recovery::graph_crc(&g) != *graph_crc {
                     return Err(RecoveryError::Mismatch(format!(
@@ -842,6 +845,7 @@ pub(crate) fn replay<R: GameRules>(
             }
             JournalRecord::Perturb { moves, graph_crc } => {
                 for mv in moves {
+                    check_move(&g, mv, idx + 1)?;
                     let rec = mv.apply(&mut g);
                     if matches!(rec, SwapApplied::Noop) {
                         continue;
@@ -922,9 +926,28 @@ pub(crate) fn replay<R: GameRules>(
     })
 }
 
+/// Refuses a journaled move that [`Graph::apply_swap`] would panic on:
+/// a vertex outside the graph, a self-loop target, or a deleted edge
+/// that the replayed graph does not have. `line` is the record's 1-based
+/// line number.
+fn check_move(g: &Graph, mv: &SwapMove, line: usize) -> Result<(), RecoveryError> {
+    let n = g.n();
+    let reason = if [mv.v, mv.w, mv.w2].iter().any(|&x| x as usize >= n) {
+        format!("move {mv:?} names a vertex outside 0..{n}")
+    } else if mv.w2 == mv.v {
+        format!("move {mv:?} swaps onto a self-loop")
+    } else if !g.has_edge(mv.v, mv.w) {
+        format!("move {mv:?} deletes a non-edge")
+    } else {
+        return Ok(());
+    };
+    Err(RecoveryError::Corrupt { line, reason })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bncg_core::objective::SumObjective;
     use bncg_graph::generators::classic;
 
     #[test]
@@ -1070,5 +1093,73 @@ mod tests {
             other => panic!("expected interior corruption, got {other:?}"),
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_multibyte_char_inside_the_crc_header_is_an_error() {
+        // 'é' is two bytes, so byte 8 of the header falls inside it.
+        let line = "{\"crc\":\"1234567\u{e9}0\",\"rec\":{}}";
+        let err = JournalRecord::from_line(line).expect_err("must not parse");
+        assert!(err.contains("crc header"), "got: {err}");
+    }
+
+    /// Writes a seed (path on 7 vertices), a session start and one round
+    /// holding `mv` through the journal's own line writer, then replays
+    /// the file and returns the refusal.
+    fn replay_forged_round(tag: &str, mv: SwapMove) -> RecoveryError {
+        let path = temp_path(tag);
+        let recs = [
+            JournalRecord::Seed {
+                objective: "sum".into(),
+                response: Response::Best,
+                max_rounds: 100,
+                detect_cycles: false,
+                pipelined: false,
+                checkpoint_every: 0,
+                graph6: graph6::encode(&classic::path(7)),
+            },
+            JournalRecord::SessionStart { replay: false },
+            JournalRecord::Round {
+                round: 1,
+                moves: vec![mv],
+                graph_crc: 0,
+            },
+        ];
+        let text: String = recs.iter().map(|r| r.to_line() + "\n").collect();
+        std::fs::write(&path, text).expect("write journal");
+        let scan = read_journal(&path).expect("every line is CRC-valid");
+        std::fs::remove_file(&path).ok();
+        match replay(&SumObjective, &scan, RepairStrategy::Kernel) {
+            Err(e) => e,
+            Ok(_) => panic!("forged move {mv:?} was replayed"),
+        }
+    }
+
+    fn assert_corrupt_round(err: RecoveryError, needle: &str) {
+        match err {
+            RecoveryError::Corrupt { line, reason } => {
+                assert_eq!(line, 3, "the round record is line 3");
+                assert!(reason.contains(needle), "reason: {reason}");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn replay_refuses_an_out_of_range_vertex() {
+        let err = replay_forged_round("range", SwapMove { v: 0, w: 1, w2: 99 });
+        assert_corrupt_round(err, "outside");
+    }
+
+    #[test]
+    fn replay_refuses_a_non_edge_deletion() {
+        let err = replay_forged_round("nonedge", SwapMove { v: 0, w: 5, w2: 3 });
+        assert_corrupt_round(err, "non-edge");
+    }
+
+    #[test]
+    fn replay_refuses_a_self_loop() {
+        let err = replay_forged_round("selfloop", SwapMove { v: 2, w: 3, w2: 2 });
+        assert_corrupt_round(err, "self-loop");
     }
 }

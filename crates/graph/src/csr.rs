@@ -88,9 +88,15 @@ impl Csr {
     /// Neighbors of `v` as a contiguous slice.
     #[inline]
     pub fn neighbors(&self, v: V) -> &[V] {
-        let lo = self.offsets[v as usize] as usize;
-        let hi = self.offsets[v as usize + 1] as usize;
-        &self.targets[lo..hi]
+        &self.targets[self.arc_range(v)]
+    }
+
+    /// Arc slots of `v`: the positions of `v`'s neighbors in the flat
+    /// target array, in [`neighbors`](Self::neighbors) order. Each
+    /// undirected edge owns two slots, one per direction.
+    #[inline]
+    pub fn arc_range(&self, v: V) -> std::ops::Range<usize> {
+        self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize
     }
 
     /// Degree of `v`.

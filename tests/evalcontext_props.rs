@@ -102,8 +102,70 @@ fn assert_all_paths_agree<O: Objective>(g: &Graph) {
     }
 }
 
+/// The edge-major parallel sweep must equal the sequential per-agent
+/// best response for every agent, slot for slot.
+fn assert_sweep_matches_per_agent<O: Objective>(g: &Graph) {
+    let ctx = EvalContext::new(g);
+    let per_agent: Vec<_> = (0..g.n() as V).map(|v| ctx.best_response::<O>(v)).collect();
+    assert_eq!(
+        ctx.best_responses_par::<O>(),
+        per_agent,
+        "edge-major sweep diverged under {}",
+        O::NAME
+    );
+}
+
+/// A random tree with `cuts` random edges removed: a disconnected forest.
+/// Every cost is infinite and every edge is a bridge, so no swap can
+/// reconnect the graph — the sweep must report no move for anyone, like
+/// the per-agent path.
+fn forest(max_n: usize) -> impl Strategy<Value = Graph> {
+    (tree(max_n), 1usize..4, any::<u64>()).prop_map(|(mut t, cuts, seed)| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..cuts.min(t.m()) {
+            let edges = t.edge_vec();
+            let e = edges[rand::Rng::gen_range(&mut rng, 0..edges.len())];
+            t.remove_edge(e.u, e.v);
+        }
+        t
+    })
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "a full n = 1024 sweep takes minutes unoptimized; CI runs it with --release"
+)]
+fn sweep_matches_per_agent_at_large_n() {
+    // n ≥ 1024 shards every candidate loop over the worker pool inside
+    // each edge task (`PAR_CANDIDATE_MIN_N`). A tree: every deletion
+    // disconnects, so every row of every masked APSP is repaired.
+    let mut rng = StdRng::seed_from_u64(0x5EE9);
+    let t = random_tree(&mut rng, 1024);
+    assert_sweep_matches_per_agent::<SumObjective>(&t);
+    assert_sweep_matches_per_agent::<MaxObjective>(&t);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn er_sweeps_match_per_agent(g in er_graph(64)) {
+        assert_sweep_matches_per_agent::<SumObjective>(&g);
+        assert_sweep_matches_per_agent::<MaxObjective>(&g);
+    }
+
+    #[test]
+    fn tree_sweeps_match_per_agent(t in tree(64)) {
+        assert_sweep_matches_per_agent::<SumObjective>(&t);
+        assert_sweep_matches_per_agent::<MaxObjective>(&t);
+    }
+
+    #[test]
+    fn forest_sweeps_match_per_agent(f in forest(48)) {
+        assert_sweep_matches_per_agent::<SumObjective>(&f);
+        assert_sweep_matches_per_agent::<MaxObjective>(&f);
+    }
 
     #[test]
     fn er_graphs_sum_paths_agree(g in er_graph(64)) {

@@ -5,6 +5,9 @@
 //!   sequential) ever pushes a vertex past its edge budget.
 //! - **Communication interests** — the masked-kernel agent cost equals a
 //!   brute-force BFS sum over the interest set, reachable or not.
+//! - **Edge-major sweeps** — `best_responses_par` of the bounded-budget
+//!   and interest games equals their sequential `best_response` mapped
+//!   over every agent.
 //! - **k-swap move sets** — [`single_swap_moves`] enumerates exactly the
 //!   candidate set the evaluator's swap scan visits, `GameRules::moves`
 //!   at `k = 1` is that set under the basic game, and 1-swap stability
@@ -155,6 +158,56 @@ fn empty_interest_sets_cost_nothing_and_never_move() {
         assert_eq!(rules.first_improving_response(&ctx, v), None);
     }
     assert_eq!(rules.social_cost(&ctx), Some(0));
+}
+
+// ---------------------------------------------------------------------------
+// Edge-major sweeps of the variant games.
+
+/// `best_responses_par` (the edge-major sweep) must equal the sequential
+/// `best_response` mapped over every agent, slot for slot.
+fn assert_sweep_matches_per_agent<R: GameRules>(rules: &R, g: &Graph, label: &str) {
+    let ctx = EvalContext::new(g);
+    let per_agent: Vec<_> = (0..g.n() as V)
+        .map(|v| rules.best_response(&ctx, v))
+        .collect();
+    assert_eq!(rules.best_responses_par(&ctx), per_agent, "{label}");
+}
+
+#[test]
+fn variant_sweeps_match_per_agent_best_responses() {
+    let mut graphs: Vec<Graph> = Vec::new();
+    for seed in 0..4u64 {
+        let mut rng = StdRng::seed_from_u64(0xED9E + seed);
+        graphs.push(gnp(&mut rng, 20 + 4 * seed as usize, 0.15));
+        graphs.push(random_tree(&mut rng, 18 + 3 * seed as usize));
+    }
+    let mut forest = classic::path(16);
+    forest.remove_edge(5, 6);
+    forest.remove_edge(11, 12);
+    graphs.push(forest);
+    for (i, g) in graphs.iter().enumerate() {
+        let n = g.n();
+        let tight: BoundedBudgetGame<SumObjective> = BoundedBudgetGame::from_degrees(g, 1);
+        assert_sweep_matches_per_agent(&tight, g, &format!("budget-sum, graph {i}"));
+        let capped: BoundedBudgetGame<MaxObjective> = BoundedBudgetGame::uniform(n, 3);
+        assert_sweep_matches_per_agent(&capped, g, &format!("budget-max, graph {i}"));
+        let ring = InterestGame::ring(n, 3);
+        assert_sweep_matches_per_agent(&ring, g, &format!("interest ring, graph {i}"));
+        // Every third agent has no interests: edges between two such
+        // agents are skipped by the sweep without changing any slot.
+        let sparse = InterestGame::new(
+            (0..n)
+                .map(|v| {
+                    if v % 3 == 0 {
+                        Vec::new()
+                    } else {
+                        vec![((v * 7 + 1) % n) as V, ((v * 5 + 2) % n) as V]
+                    }
+                })
+                .collect(),
+        );
+        assert_sweep_matches_per_agent(&sparse, g, &format!("interest sparse, graph {i}"));
+    }
 }
 
 // ---------------------------------------------------------------------------
